@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -279,6 +280,39 @@ func BenchmarkEnter(b *testing.B) {
 		cur = next
 	}
 	_ = rooms
+}
+
+// BenchmarkEnterLimited is BenchmarkEnter under entry-limited grants
+// after a 10 000-entry history: every Enter runs the Def.-7 count over
+// the subject's entries into the target room.
+func BenchmarkEnterLimited(b *testing.B) {
+	const hist = 10000
+	sys, err := core.Open(core.Config{Graph: gridGraph(16)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := sys.Flat()
+	rooms := []graph.ID{f.Nodes[0], f.Nodes[f.Adj[0][0]]}
+	for _, room := range rooms {
+		if _, err := sys.AddAuthorization(authz.New(interval.New(1, 1<<40), interval.New(1, 1<<41), "u0000", room, 1<<40)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < hist; i++ {
+		if _, err := sys.Enter(interval.Time(i+1), "u0000", rooms[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := sys.Enter(interval.Time(hist+i+1), "u0000", rooms[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !d.Granted {
+			b.Fatal(d.Reason)
+		}
+	}
 }
 
 // BenchmarkMonitorTick measures the E9 overstay sweep with many users
@@ -583,6 +617,39 @@ func BenchmarkMovementRecord(b *testing.B) {
 		if _, _, err := db.RecordExit(t+1, "u"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEntryCount measures the Def.-7 entry count over a subject's
+// history of hist stints spread over four rooms, for a window covering
+// half of it. The index makes it a pair of binary searches: the cost
+// grows with log(hist) and it allocates nothing.
+func BenchmarkEntryCount(b *testing.B) {
+	rooms := []graph.ID{"r0", "r1", "r2", "r3"}
+	for _, hist := range []int{100, 10000, 100000} {
+		b.Run(fmt.Sprintf("hist=%d", hist), func(b *testing.B) {
+			db := movement.NewDB()
+			for i := 0; i < hist; i++ {
+				t := interval.Time(2*i + 1)
+				if _, err := db.RecordEnter(t, "u", rooms[i%len(rooms)], 0); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := db.RecordExit(t+1, "u"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			window := interval.New(interval.Time(hist/2), interval.Time(3*hist/2))
+			// The timed loop is short and allocates nothing: collect the
+			// set-up's garbage now so a GC cycle cannot land inside it.
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if db.EntryCount("u", "r0", window) == 0 {
+					b.Fatal("no entries counted")
+				}
+			}
+		})
 	}
 }
 

@@ -81,7 +81,9 @@ type Engine struct {
 	now    atomic.Int64 // interval.Time, advanced by CAS; never moves back
 	// overstayAlerted remembers stints already flagged so the periodic
 	// monitor raises one alert per violation, keyed by subject and stint
-	// entry time. Guarded by mu (write side only).
+	// entry time. A key lives only while its stint is open: exitLocked
+	// deletes it, so the map is bounded by the open stints. Guarded by mu
+	// (write side only).
 	overstayAlerted map[stintKey]bool
 }
 
@@ -300,6 +302,7 @@ func (e *Engine) exitLocked(t interval.Time, s profile.SubjectID) error {
 	if err != nil {
 		return err
 	}
+	delete(e.overstayAlerted, stintKey{s, st.Enter})
 	if st.Auth == 0 {
 		return nil // ungranted stint: the entry alert already fired
 	}

@@ -94,6 +94,14 @@ type DB struct {
 	openBySubject map[profile.SubjectID]int // index into stints
 	bySubject     map[profile.SubjectID][]int
 	byLocation    map[graph.ID][]int
+	// entries holds each (subject, location) pair's entry times. Event
+	// times never regress, so every list is sorted by construction.
+	entries map[entryKey][]interval.Time
+}
+
+type entryKey struct {
+	s profile.SubjectID
+	l graph.ID
 }
 
 // NewDB returns an empty movement database.
@@ -104,6 +112,7 @@ func NewDB() *DB {
 		openBySubject: make(map[profile.SubjectID]int),
 		bySubject:     make(map[profile.SubjectID][]int),
 		byLocation:    make(map[graph.ID][]int),
+		entries:       make(map[entryKey][]interval.Time),
 	}
 }
 
@@ -130,6 +139,8 @@ func (db *DB) RecordEnter(t interval.Time, s profile.SubjectID, l graph.ID, auth
 	db.openBySubject[s] = idx
 	db.bySubject[s] = append(db.bySubject[s], idx)
 	db.byLocation[l] = append(db.byLocation[l], idx)
+	k := entryKey{s, l}
+	db.entries[k] = append(db.entries[k], t)
 	return ev, nil
 }
 
@@ -187,17 +198,17 @@ func (db *DB) Occupants(l graph.ID) []profile.SubjectID {
 
 // EntryCount returns how many times subject s entered location l with
 // entry time inside window — the count Definition 7 compares against n.
+// It costs O(log k) for the k entries of s into l and allocates nothing.
 func (db *DB) EntryCount(s profile.SubjectID, l graph.ID, window interval.Interval) int {
+	if window.IsEmpty() {
+		return 0
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	n := 0
-	for _, idx := range db.bySubject[s] {
-		st := db.stints[idx]
-		if st.Location == l && window.Contains(st.Enter) {
-			n++
-		}
-	}
-	return n
+	times := db.entries[entryKey{s, l}]
+	lo := sort.Search(len(times), func(i int) bool { return times[i] >= window.Start })
+	hi := sort.Search(len(times), func(i int) bool { return times[i] > window.End })
+	return hi - lo
 }
 
 // History returns all stints of subject s in chronological order.
@@ -302,6 +313,28 @@ func (db *DB) Len() int {
 	return len(db.events)
 }
 
+// Stats is a constant-time summary of how much history the database
+// holds: its logged events, its stints (open ones included), the open
+// stints alone, and the (subject, location) keys of the entry index.
+type Stats struct {
+	Events     int `json:"events"`
+	Stints     int `json:"stints"`
+	OpenStints int `json:"open_stints"`
+	EntryKeys  int `json:"entry_keys"`
+}
+
+// Stats reports the database's size in O(1).
+func (db *DB) Stats() Stats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return Stats{
+		Events:     len(db.events),
+		Stints:     len(db.stints),
+		OpenStints: len(db.openBySubject),
+		EntryKeys:  len(db.entries),
+	}
+}
+
 // LastTime returns the time of the most recent event, or interval.MinTime
 // when the log is empty.
 func (db *DB) LastTime() interval.Time {
@@ -356,5 +389,6 @@ func (db *DB) Restore(events []Event) error {
 	db.openBySubject = fresh.openBySubject
 	db.bySubject = fresh.bySubject
 	db.byLocation = fresh.byLocation
+	db.entries = fresh.entries
 	return nil
 }

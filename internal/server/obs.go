@@ -40,6 +40,14 @@ func (s *Server) buildRegistry() *obs.Registry {
 		w.Gauge("ltam_authz_version", "Authorization store version.", float64(as.Version))
 	})
 
+	reg.Register("movement", func(w *obs.MetricWriter) {
+		ms := s.sys.Movements().Stats()
+		w.Gauge("ltam_movement_events", "Movement events held in memory.", float64(ms.Events))
+		w.Gauge("ltam_movement_stints", "Stints held in memory, open ones included.", float64(ms.Stints))
+		w.Gauge("ltam_movement_open_stints", "Subjects currently inside a location.", float64(ms.OpenStints))
+		w.Gauge("ltam_movement_entry_keys", "(subject, location) keys of the Def. 7 entry-time index.", float64(ms.EntryKeys))
+	})
+
 	reg.Register("commit", func(w *obs.MetricWriter) {
 		st := s.sys.CommitStats()
 		w.Counter("ltam_commit_batches_total", "WAL group-commit batches fsynced.", float64(st.Batches))

@@ -93,9 +93,25 @@ func TestMetricsExposition(t *testing.T) {
 		"ltam_trace_max_seq", "ltam_pipeline_stage_duration_seconds",
 		"ltam_replication_role", "ltam_ingest_frames_total",
 		"ltam_stream_cursors",
+		"ltam_movement_events", "ltam_movement_stints",
+		"ltam_movement_open_stints", "ltam_movement_entry_keys",
 	} {
 		if !seen[want] {
 			t.Errorf("scrape missing family %s", want)
+		}
+	}
+	// The reading above entered a room: /v1/stats and the gauges report
+	// the same movement history.
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := st.Movement; m.Events != 1 || m.Stints != 1 || m.OpenStints != 1 || m.EntryKeys != 1 {
+		t.Errorf("/v1/stats movement = %+v, want one open stint", m)
+	}
+	for _, want := range []string{"ltam_movement_events 1\n", "ltam_movement_entry_keys 1\n"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("scrape lacks %q", want)
 		}
 	}
 	// The mutations above were traced: the stage summary must carry the

@@ -548,6 +548,7 @@ func (s *Server) stats(w http.ResponseWriter, _ *http.Request) {
 			Publishes:  vs.Publishes,
 			AuthShards: vs.AuthShards,
 		},
+		Movement:    s.sys.Movements().Stats(),
 		Endpoints:   s.metrics.snapshot(),
 		Replication: s.replicationWireStatus(nil),
 		Stream:      s.streamStats(),

@@ -120,14 +120,15 @@ type ViewStats struct {
 // StatsResponse reports server-side statistics: the engine clock, the
 // epoch cache's effectiveness counters, the WAL group committer's
 // batching counters, the sharded authorization store's shape, the
-// snapshot read path's view counters, and per-endpoint latency
-// histograms.
+// snapshot read path's view counters, the movement history's size, and
+// per-endpoint latency histograms.
 type StatsResponse struct {
 	Clock     interval.Time            `json:"clock"`
 	Cache     query.CacheStats         `json:"cache"`
 	Commit    storage.CommitterStats   `json:"commit"`
 	Authz     authz.StoreStats         `json:"authz"`
 	View      ViewStats                `json:"view"`
+	Movement  movement.Stats           `json:"movement"`
 	Endpoints map[string]EndpointStats `json:"endpoints,omitempty"`
 	// Replication is present on durable primaries (role "primary",
 	// log-shipping coordinates) and on replicas (role "replica",
